@@ -61,7 +61,7 @@ func main() {
 		label    = flag.String("label", "current", "label for this measurement")
 		rate     = flag.Float64("rate", 0.01, "injection rate of the measurement point")
 		runs     = flag.Int("runs", 1, "benchmark repetitions; the minimum ns/op is recorded (least scheduler-polluted)")
-		dense    = flag.Bool("dense", false, "force dense stepping (disable the active-set sweep and skip-ahead)")
+		dense    = flag.Bool("dense", false, "force dense stepping (every component stepped every cycle)")
 		detector = flag.String("detector", "threshold", "recovery trigger to benchmark: threshold or probe (cwg needs scans, which the bench point disables)")
 		profile  = flag.Bool("profile", false, "also run the cycle profiler and record the phase breakdown")
 		version  = flag.Bool("version", false, "print version and exit")

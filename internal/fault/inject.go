@@ -107,11 +107,6 @@ func Attach(n *network.Network, plan *Plan) (*Injector, error) {
 	if plan.Empty() {
 		return inj, nil
 	}
-	// Freeze and stall faults make components skip whole steps (no
-	// round-robin rotation at all), which the active-set engine's idle
-	// catch-up cannot replay; force the classic dense sweep for any
-	// non-empty plan so faulty runs stay cycle-exact.
-	n.SetDense(true)
 	if plan.has(LinkDown) && n.Health == nil {
 		n.Health = routing.NewHealth(tor)
 	}
@@ -192,12 +187,16 @@ func (inj *Injector) apply(i int, now int64) {
 	case RouterFreeze:
 		r := inj.n.Routers[e.Router]
 		// OnCycle runs after the routers stepped, so the freeze covers
-		// exactly the next Cycles cycles.
+		// exactly the next Cycles cycles. A frozen router does not rotate,
+		// so it is woken to be stepped through the freeze rather than have
+		// the frozen cycles replayed as idle ones.
 		r.FrozenUntil = now + 1 + e.Cycles
+		inj.n.WakeRouter(e.Router)
 		st.done = true
 		inj.record(i, now, e.Router, fmt.Sprintf("router-freeze %d for %d", e.Router, e.Cycles))
 	case NIStall:
 		inj.n.NIs[e.Endpoint].StallUntil = now + 1 + e.Cycles
+		inj.n.WakeNI(e.Endpoint) // as for a freeze
 		st.done = true
 		inj.record(i, now, e.Endpoint, fmt.Sprintf("ni-stall %d for %d", e.Endpoint, e.Cycles))
 	case CreditLoss:

@@ -107,11 +107,10 @@ type Network struct {
 
 	// Active-set sweep state (see Step). activeRW/activeNIW are bitmask
 	// words (bit = component must be stepped this cycle); sweeps iterate
-	// set bits in ascending ID order — the dense order — and the all-idle
-	// fast path tests a word or two for zero. lastR/lastNI record the cycle
-	// each component last stepped so SkipIdle can fold the skipped idle
-	// cycles' round-robin rotations in before it re-enters the sweep — the
-	// mechanism that keeps results byte-identical to dense stepping.
+	// set bits in ascending ID order — the dense order. lastR/lastNI record
+	// the cycle each component last stepped so SkipIdle can fold the skipped
+	// idle cycles' round-robin rotations in before it re-enters the sweep —
+	// the mechanism that keeps results byte-identical to dense stepping.
 	activeRW  []uint64
 	activeNIW []uint64
 	lastR     []int64
@@ -124,15 +123,8 @@ type Network struct {
 	dirtyCh []*router.Channel
 	chEP    []int
 
-	// skipAhead enables the idle fast path (on by default; netsim
-	// -skip-ahead=false and SetDense both force dense stepping).
-	// forceDense restores the classic full sweep: set under fault
-	// injection, whose freeze/stall faults suppress round-robin rotation in
-	// ways SkipIdle cannot replay, and available to tests/tools for
-	// differential runs. An attached profiler also forces dense so phase
-	// accounting stays exact.
-	skipAhead  bool
-	forceDense bool
+	// dense fills every active bit at the top of each cycle (SetDense).
+	dense bool
 
 	// rescueDefer suppresses the recovery engine's step for that many
 	// upcoming cycles. The model checker sets it (via DeferRescue) to
@@ -589,14 +581,14 @@ func (n *Network) onRescueServiced(ni *netiface.NI, m *message.Message, subs []*
 func (n *Network) initActive() {
 	n.activeRW = make([]uint64, (len(n.Routers)+63)/64)
 	n.activeNIW = make([]uint64, (len(n.NIs)+63)/64)
+	fillMask(n.activeRW, len(n.Routers))
+	fillMask(n.activeNIW, len(n.NIs))
 	n.lastR = make([]int64, len(n.Routers))
 	n.lastNI = make([]int64, len(n.NIs))
 	for i := range n.lastR {
-		n.activeRW[i>>6] |= 1 << uint(i&63)
 		n.lastR[i] = -1
 	}
 	for i := range n.lastNI {
-		n.activeNIW[i>>6] |= 1 << uint(i&63)
 		n.lastNI[i] = -1
 	}
 	n.dirtyCh = make([]*router.Channel, 0, len(n.Channels))
@@ -606,46 +598,45 @@ func (n *Network) initActive() {
 	}
 	for ep, ni := range n.NIs {
 		ep := ep
-		ni.SetWakeHook(func() { n.wakeNI(ep) })
+		ni.SetWakeHook(func() { n.WakeNI(ep) })
 		n.chEP[ni.Eject.ID] = ep
 	}
 	for _, ch := range n.Channels {
 		ch.SetStageHook(n.noteDirty)
 	}
-	n.skipAhead = true
 }
 
 func (n *Network) noteDirty(ch *router.Channel) {
 	n.dirtyCh = append(n.dirtyCh, ch)
 }
 
-func (n *Network) wakeNI(ep int) {
+// WakeNI puts endpoint ep's NI in the active sweep set from the next cycle.
+// Fault injectors call it when they stall an NI, so the stalled cycles are
+// stepped (as no-ops) rather than replayed as idle rotations.
+func (n *Network) WakeNI(ep int) {
 	n.activeNIW[ep>>6] |= 1 << uint(ep&63)
 }
 
-func (n *Network) wakeRouter(id int) {
+// WakeRouter puts router id in the active sweep set from the next cycle;
+// fault injectors call it when they freeze a router, as for WakeNI.
+func (n *Network) WakeRouter(id int) {
 	n.activeRW[id>>6] |= 1 << uint(id&63)
 }
 
-// maskEmpty reports whether every word of an active-set mask is zero.
-func maskEmpty(ws []uint64) bool {
-	for _, w := range ws {
-		if w != 0 {
-			return false
-		}
+// fillMask sets the first count bits of an active-set mask.
+func fillMask(ws []uint64, count int) {
+	for i := range ws {
+		ws[i] = 0
 	}
-	return true
+	for i := 0; i < count; i++ {
+		ws[i>>6] |= 1 << uint(i&63)
+	}
 }
 
-// SetSkipAhead toggles the idle fast path; the active-set sweep itself stays
-// on. Results are byte-identical either way.
-func (n *Network) SetSkipAhead(on bool) { n.skipAhead = on }
-
-// SetDense forces the classic dense sweep: every component stepped every
-// cycle, every channel committed. Required under fault injection (freeze and
-// stall faults suppress round-robin rotation in ways idle catch-up cannot
-// replay) and useful for differential testing against the active-set engine.
-func (n *Network) SetDense(on bool) { n.forceDense = on }
+// SetDense steps every component every cycle: each cycle starts with every
+// active bit set. Results are byte-identical either way; dense stepping is
+// the reference the active-set sweep is tested against.
+func (n *Network) SetDense(on bool) { n.dense = on }
 
 // RouterActive reports whether router id is in the active sweep set (for the
 // invariant checker: an inactive router must have all-empty input VCs).
@@ -666,9 +657,9 @@ func (n *Network) InvalidateRouting() {
 }
 
 // generate runs the traffic source for every endpoint. It must run every
-// cycle outside the drain phase — including fast-path cycles — because each
+// cycle outside the drain phase — including all-idle cycles — because each
 // endpoint's Bernoulli stream draws once per cycle and skipping a draw would
-// desynchronize the RNG from the dense engine.
+// desynchronize the RNG from dense stepping.
 func (n *Network) generate(now int64) {
 	if n.Clock.Phase() != sim.PhaseDrain && n.Source != nil {
 		for ep, ni := range n.NIs {
@@ -682,61 +673,38 @@ func (n *Network) scanDue(now int64) bool {
 	return n.scan != nil && n.Cfg.CWGInterval > 0 && now > 0 && now%n.Cfg.CWGInterval == 0
 }
 
-// Step advances the system one cycle. Three regimes share identical
-// semantics:
+// Step advances the system one cycle through the active-set sweep. Only
+// components in the active sets step, each after an O(1) SkipIdle catch-up
+// replaying the round-robin rotations of the cycles it slept through; only
+// dirty channels commit, and each commit wakes its consumer for the next
+// cycle. Each mask word is snapshotted and its set bits visited ascending —
+// the dense ID order. A component woken mid-sweep (only self-steps and the
+// post-sweep rescue and commit phases wake anyone) steps next cycle instead;
+// it would have performed a pure rotation step this cycle anyway (the wake
+// cause is invisible until channel commit), which its catch-up replays
+// exactly. An all-idle cycle visits no component: generation (RNG streams
+// advance every cycle), the rescue token walk, sampler/OnCycle and the clock
+// are all that run.
 //
-//   - dense (profiler attached or SetDense): the classic full sweep — every
-//     NI and router steps, every channel commits.
-//   - active sweep: only components in the active sets step, after an O(1)
-//     SkipIdle catch-up replaying the round-robin rotations of the cycles
-//     they slept through; only dirty channels commit, and each commit wakes
-//     the consumer for the next cycle.
-//   - fast path (skipAhead, no active component, no dirty channel, no scan
-//     due): per-cycle housekeeping only — traffic generation (RNG streams
-//     advance every cycle), the rescue token walk, sampler/OnCycle, clock.
+// A frozen router or stalled NI does not rotate, which SkipIdle cannot
+// replay, so it stays in the active set until its fault ends (the fault
+// injector wakes it when the fault starts). SetDense fills every active bit
+// at the top of the cycle, the differential reference for the sparse sweep.
 //
-// The phase-profiler marks sit on the pipeline boundaries that already exist
-// (routing and arbitration mark themselves inside Router.Step); since an
-// attached profiler forces the dense regime, its phase accounting is exact.
+// The phase-profiler marks sit on the pipeline boundaries (routing and
+// arbitration mark themselves inside Router.Step).
 func (n *Network) Step() {
-	if n.prof != nil || n.forceDense {
-		n.stepDense()
-		return
+	if n.prof != nil {
+		n.prof.BeginCycle()
 	}
 	now := n.Clock.Now()
-	if n.skipAhead && maskEmpty(n.activeRW) && maskEmpty(n.activeNIW) &&
-		len(n.dirtyCh) == 0 && !n.scanDue(now) &&
-		(n.Probe == nil || n.Probe.Idle()) {
-		n.generate(now)
-		if maskEmpty(n.activeNIW) {
-			if n.Rescue != nil {
-				n.stepRescue(now)
-			}
-			if n.sampler != nil {
-				n.sampler.Tick(now)
-			}
-			if n.OnCycle != nil {
-				n.OnCycle(now)
-			}
-			n.Clock.Tick()
-			return
-		}
-		// Generation woke an NI: fall into the sweep without re-drawing.
-		n.stepActive(now, false)
-		return
+	if n.dense {
+		fillMask(n.activeNIW, len(n.NIs))
+		fillMask(n.activeRW, len(n.Routers))
 	}
-	n.stepActive(now, true)
-}
-
-// stepActive runs one cycle of the active-set sweep. Each mask word is
-// snapshotted and its set bits visited ascending — the dense ID order. A
-// component woken mid-sweep (only self-steps and the post-sweep rescue and
-// commit phases wake anyone) steps next cycle instead; it would have
-// performed a pure rotation step this cycle anyway (the wake cause is
-// invisible until channel commit), which its catch-up replays exactly.
-func (n *Network) stepActive(now int64, gen bool) {
-	if gen {
-		n.generate(now)
+	n.generate(now)
+	if n.prof != nil {
+		n.prof.Mark(telemetry.PhaseSource)
 	}
 	for wi, w := range n.activeNIW {
 		for w != 0 {
@@ -749,10 +717,13 @@ func (n *Network) stepActive(now int64, gen bool) {
 			}
 			n.lastNI[ep] = now
 			ni.Step(now)
-			if ni.Idle() {
+			if ni.Idle() && now+1 >= ni.StallUntil {
 				n.activeNIW[wi] &^= b
 			}
 		}
+	}
+	if n.prof != nil {
+		n.prof.Mark(telemetry.PhaseProtocol)
 	}
 	for wi, w := range n.activeRW {
 		for w != 0 {
@@ -765,82 +736,9 @@ func (n *Network) stepActive(now int64, gen bool) {
 			}
 			n.lastR[id] = now
 			r.Step(now)
-			if r.InputsIdle() {
+			if r.InputsIdle() && now+1 >= r.FrozenUntil {
 				n.activeRW[wi] &^= b
 			}
-		}
-	}
-	if n.Rescue != nil {
-		n.stepRescue(now)
-	}
-	// Commit only the channels that staged flits this cycle; committed
-	// flits become visible next cycle, so wake each consumer. Cross-channel
-	// commit order is immaterial: commits touch disjoint VC state and a
-	// shared counter.
-	dirty := n.dirtyCh
-	n.dirtyCh = n.dirtyCh[:0]
-	for _, ch := range dirty {
-		ch.Commit(now)
-		if ch.Kind == router.KindEject {
-			n.wakeNI(n.chEP[ch.ID])
-		} else {
-			n.wakeRouter(int(ch.Dst))
-		}
-	}
-	if n.Probe != nil {
-		n.Probe.Step(now)
-	}
-	if n.scanDue(now) {
-		n.scan(now)
-	}
-	if n.sampler != nil {
-		n.sampler.Tick(now)
-	}
-	if n.OnCycle != nil {
-		n.OnCycle(now)
-	}
-	n.Clock.Tick()
-}
-
-// stepDense runs the classic full sweep. The inline catch-up handles the
-// transition from the active regimes (a profiler attached mid-run finds some
-// components asleep); at dense steady state every k is zero. Activity flags
-// are maintained here too, so a later switch back to the active sweep
-// resumes from exact state.
-func (n *Network) stepDense() {
-	if n.prof != nil {
-		n.prof.BeginCycle()
-	}
-	now := n.Clock.Now()
-	n.generate(now)
-	if n.prof != nil {
-		n.prof.Mark(telemetry.PhaseSource)
-	}
-	for ep, ni := range n.NIs {
-		if k := now - 1 - n.lastNI[ep]; k > 0 {
-			ni.SkipIdle(k)
-		}
-		n.lastNI[ep] = now
-		ni.Step(now)
-		if ni.Idle() {
-			n.activeNIW[ep>>6] &^= 1 << uint(ep&63)
-		} else {
-			n.activeNIW[ep>>6] |= 1 << uint(ep&63)
-		}
-	}
-	if n.prof != nil {
-		n.prof.Mark(telemetry.PhaseProtocol)
-	}
-	for id, r := range n.Routers {
-		if k := now - 1 - n.lastR[id]; k > 0 {
-			r.SkipIdle(k)
-		}
-		n.lastR[id] = now
-		r.Step(now)
-		if r.InputsIdle() {
-			n.activeRW[id>>6] &^= 1 << uint(id&63)
-		} else {
-			n.activeRW[id>>6] |= 1 << uint(id&63)
 		}
 	}
 	if n.Rescue != nil {
@@ -849,19 +747,18 @@ func (n *Network) stepDense() {
 	if n.prof != nil {
 		n.prof.Mark(telemetry.PhaseRescue)
 	}
-	for _, c := range n.Channels {
-		c.Commit(now)
-	}
-	// Commits above already cleared every stage-pending flag; replay the
-	// dirty list purely for its consumer wakes so the active sets stay
-	// exact across regime switches.
+	// Commit only the channels that staged flits this cycle (Commit on a
+	// clean channel is a no-op); committed flits become visible next cycle,
+	// so wake each consumer. Cross-channel commit order is immaterial:
+	// commits touch disjoint VC state and a shared counter.
 	dirty := n.dirtyCh
 	n.dirtyCh = n.dirtyCh[:0]
 	for _, ch := range dirty {
+		ch.Commit(now)
 		if ch.Kind == router.KindEject {
-			n.wakeNI(n.chEP[ch.ID])
+			n.WakeNI(n.chEP[ch.ID])
 		} else {
-			n.wakeRouter(int(ch.Dst))
+			n.WakeRouter(int(ch.Dst))
 		}
 	}
 	if n.prof != nil {

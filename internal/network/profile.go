@@ -7,7 +7,8 @@ import "repro/internal/telemetry"
 // routing/arbitration boundary so per-phase attribution matches the real
 // pipeline order. Attach-on-demand like the checker and the fault
 // injector — a network without a profiler pays one nil check per phase
-// boundary and simulates bit-identically.
+// boundary, and with or without one the network steps the same active-set
+// sweep and simulates bit-identically.
 func (n *Network) AttachProfiler(p *telemetry.CycleProfiler) {
 	n.prof = p
 	for _, r := range n.Routers {

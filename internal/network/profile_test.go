@@ -1,8 +1,10 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/message"
 	"repro/internal/protocol"
 	"repro/internal/schemes"
 	"repro/internal/telemetry"
@@ -67,24 +69,66 @@ func TestProfilerSampledRun(t *testing.T) {
 	}
 }
 
+// deliveryDigest folds every delivery (cycle, transaction, hop, type,
+// endpoints, creation cycle) into an FNV-1a hash, so two runs can be
+// compared delivery for delivery.
+func deliveryDigest(n *Network) *uint64 {
+	h := uint64(14695981039346656037)
+	for _, ni := range n.NIs {
+		prev := ni.Cfg.Hooks.Delivered
+		ni.Cfg.Hooks.Delivered = func(m *message.Message, now int64) {
+			for _, v := range [...]int64{now, int64(m.Txn), int64(m.Hop), int64(m.Type),
+				int64(m.Src), int64(m.Dst), m.Created} {
+				h = (h ^ uint64(v)) * 1099511628211
+			}
+			prev(m, now)
+		}
+	}
+	return &h
+}
+
 // TestProfilerDoesNotPerturbSimulation: a profiled run must be
-// bit-identical to an unprofiled one — the profiler only reads the clock.
+// bit-identical to an unprofiled one — the profiler only reads the clock —
+// and must step the same active-set sweep: at the sparse load most routers
+// sleep through most cycles with the profiler attached too.
 func TestProfilerDoesNotPerturbSimulation(t *testing.T) {
-	cfg := smallConfig(schemes.PR, protocol.PAT271, 4, 0.02)
+	for _, rate := range []float64{0.02, 0.001} {
+		t.Run(fmt.Sprintf("rate-%g", rate), func(t *testing.T) {
+			cfg := smallConfig(schemes.PR, protocol.PAT271, 4, rate)
 
-	plain := mustNet(t, cfg)
-	plain.Run()
+			plain := mustNet(t, cfg)
+			plainDigest := deliveryDigest(plain)
+			plain.Run()
 
-	profiled := mustNet(t, cfg)
-	profiled.AttachProfiler(telemetry.NewCycleProfiler(1))
-	profiled.Run()
+			profiled := mustNet(t, cfg)
+			profiled.AttachProfiler(telemetry.NewCycleProfiler(1))
+			profiledDigest := deliveryDigest(profiled)
+			var stepped, slots int
+			profiled.OnCycle = func(now int64) {
+				for _, last := range profiled.lastR {
+					if last == now {
+						stepped++
+					}
+				}
+				slots += len(profiled.lastR)
+			}
+			profiled.Run()
 
-	if plain.Stats.DeliveredMsgs != profiled.Stats.DeliveredMsgs ||
-		plain.Stats.DeliveredFlits != profiled.Stats.DeliveredFlits ||
-		plain.Stats.TxnCompleted != profiled.Stats.TxnCompleted ||
-		plain.Stats.Deflections != profiled.Stats.Deflections ||
-		plain.Stats.Rescues != profiled.Stats.Rescues {
-		t.Fatalf("profiler perturbed the run:\nplain    %+v\nprofiled %+v",
-			plain.Stats, profiled.Stats)
+			if *plainDigest != *profiledDigest ||
+				plain.Stats.DeliveredMsgs != profiled.Stats.DeliveredMsgs ||
+				plain.Stats.DeliveredFlits != profiled.Stats.DeliveredFlits ||
+				plain.Stats.TxnCompleted != profiled.Stats.TxnCompleted ||
+				plain.Stats.Deflections != profiled.Stats.Deflections ||
+				plain.Stats.Rescues != profiled.Stats.Rescues {
+				t.Fatalf("profiler perturbed the run (digest %016x vs %016x):\nplain    %+v\nprofiled %+v",
+					*plainDigest, *profiledDigest, plain.Stats, profiled.Stats)
+			}
+			if plain.Stats.DeliveredMsgs == 0 {
+				t.Fatal("comparison vacuous: nothing delivered")
+			}
+			if rate < 0.01 && 2*stepped >= slots {
+				t.Fatalf("profiled run stepped %d of %d router-cycles: the active set is not sparse", stepped, slots)
+			}
+		})
 	}
 }

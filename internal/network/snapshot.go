@@ -36,10 +36,9 @@ import (
 // restore every component is marked active with its catch-up timestamp at
 // now-1; spurious activity is byte-identical safe (stepping an idle
 // component is a pure round-robin rotation, the same equivalence that makes
-// the sparse engine match dense stepping), and the RR-cursor catch-up that
-// sleeping components were owed at capture time is folded into the captured
-// cursors, so a restored run and an uninterrupted run produce identical
-// delivery digests.
+// the sparse engine match dense stepping), and Snapshot applies the RR-cursor
+// catch-up sleeping components are owed before capturing their cursors, so a
+// restored run and an uninterrupted run produce identical delivery digests.
 //
 // Snapshots happen only at cycle boundaries (between Step calls): every
 // staged flit has been committed and the dirty-channel list is empty.
@@ -70,8 +69,8 @@ type Snapshot struct {
 	Txns []*protocol.Transaction
 	// VCs holds one state per VC, flattened in (channel ID, VC index) order.
 	VCs []router.VCState
-	// Routers holds per-router scheduling state with the SkipIdle catch-up
-	// owed at capture time already applied.
+	// Routers holds per-router scheduling state, every router brought
+	// current through SkipIdle before capture.
 	Routers []router.RouterSched
 	// NIs holds per-endpoint NI state, likewise caught up.
 	NIs []netiface.NIState
@@ -177,28 +176,25 @@ func (n *Network) Snapshot() *Snapshot {
 			s.VCs = append(s.VCs, vc.CaptureState(c.pkt))
 		}
 	}
+	// Bring each sleeping component current before capturing it: the idle
+	// catch-up it is owed is applied now rather than at its next wake
+	// (SkipIdle is additive, so the live run is unchanged), and the restored
+	// run has no history to catch up on.
 	s.Routers = make([]router.RouterSched, len(n.Routers))
 	for id, r := range n.Routers {
-		s.Routers[id] = r.CaptureSched()
-		// Fold in the idle catch-up this router is owed: the live run will
-		// apply it via SkipIdle at its next wake, and the restored run marks
-		// everything active at now with no history to catch up on.
 		if k := now - 1 - n.lastR[id]; k > 0 {
-			s.Routers[id].VaRR += int(k)
+			r.SkipIdle(k)
+			n.lastR[id] = now - 1
 		}
+		s.Routers[id] = r.CaptureSched()
 	}
 	s.NIs = make([]netiface.NIState, len(n.NIs))
 	for ep, ni := range n.NIs {
-		s.NIs[ep] = ni.CaptureState(c.msg, c.pkt)
 		if k := now - 1 - n.lastNI[ep]; k > 0 {
-			if ni.Eject != nil {
-				s.NIs[ep].EjRR += int(k)
-			}
-			s.NIs[ep].CtrlRR += int(k)
-			if ni.Inject != nil {
-				s.NIs[ep].InjRR += int(k)
-			}
+			ni.SkipIdle(k)
+			n.lastNI[ep] = now - 1
 		}
+		s.NIs[ep] = ni.CaptureState(c.msg, c.pkt)
 	}
 	if n.Token != nil {
 		st := n.Token.CaptureState()
@@ -290,18 +286,12 @@ func (n *Network) Restore(s *Snapshot) {
 	// Mark everything active with no catch-up owed: the captured cursors
 	// already include any rotation the live run had deferred, and spurious
 	// activity decays back out of the sets on the first sweep.
-	for i := range n.activeRW {
-		n.activeRW[i] = 0
-	}
-	for i := range n.activeNIW {
-		n.activeNIW[i] = 0
-	}
+	fillMask(n.activeRW, len(n.Routers))
+	fillMask(n.activeNIW, len(n.NIs))
 	for id := range n.Routers {
-		n.activeRW[id>>6] |= 1 << uint(id&63)
 		n.lastR[id] = now - 1
 	}
 	for ep := range n.NIs {
-		n.activeNIW[ep>>6] |= 1 << uint(ep&63)
 		n.lastNI[ep] = now - 1
 	}
 	n.dirtyCh = n.dirtyCh[:0]

@@ -107,8 +107,8 @@ func (e *Engine) Layout() deadlock.Layout { return e.layout }
 // InFlight returns the number of probe copies currently queued on channels.
 func (e *Engine) InFlight() int { return e.active }
 
-// Idle reports whether the engine has no probes in flight — the network's
-// fast path may skip Step entirely while true.
+// Idle reports whether the engine has no probes in flight; Step returns at
+// once while it is true.
 func (e *Engine) Idle() bool { return e.active == 0 }
 
 // channelOf maps a probe's destination vertex to the channel whose credit
